@@ -1,96 +1,96 @@
-"""Bench: legacy vs fused-partition tree engine — end-to-end surrogate fits.
+"""Bench: end-to-end surrogate fits of the tree engine, gated on its trajectory.
 
-Times ``SurrogateFitter.fit`` for every tree family under both growth engines
-using the paper's hand-tuned Table-1 (accuracy) and Table-2 (device) configs,
-asserts the golden contract (bit-identical models, so R2 / Kendall tau / MAE
-agree exactly between engines), and records a fit/predict trajectory point to
-``results/BENCH_fit.json``.
+Times ``SurrogateFitter.fit`` for every tree family using the paper's
+hand-tuned Table-1 (accuracy) and Table-2 (device) configs and records a
+fit/predict trajectory point to ``results/BENCH_fit.json``.
 
-Headline: the deep-tree rf fits (Table configs: 100 trees, depth 16/18) are
-where the partitioned engine concentrates its win (>=2x at paper scale —
-legacy pays per-node Python for thousands of splits per tree, the fused
-engine partitions rows in place and runs one staged kernel per level).  The
-shallow boosting fits (depth 4-6) are bincount-bound, where both engines do
-identical weighted-bincount volume, and land near parity.  Wall-clock
-assertions therefore anchor on rf and only at >=2000 archs
-(``ANB_BENCH_ARCHS``); small CI datasets exercise the equality contract only.
+Gates, both against the last recorded point with the same ``num_archs``
+(``ANB_BENCH_ARCHS``):
+
+- Quality: R2 and Kendall tau must be exactly equal.  Fits are
+  deterministic to the byte, so any drift is a behaviour change, not noise.
+- Time: from ``SPEEDUP_MIN_ARCHS`` archs up, the deep-tree rf fits (100
+  trees, depth 16/18, where growth cost concentrates) must not exceed the
+  recorded time by more than ``RF_TIME_BAND``.  Small CI datasets are
+  dominated by fixed overheads and gate quality only.  The recorded times
+  come from whichever machine wrote the point, so the band only means
+  something on comparable hardware.
+
+Per-family fit times keep the ``*_fused_s`` key so the trajectory stays
+comparable with points recorded when a second growth engine existed.
 """
+
+import json
 
 import numpy as np
 
 import repro.obs as obs
 from repro.core.surrogate_fit import SurrogateFitter
 
-from conftest import BENCH_ARCHS, emit, record_trajectory
+from conftest import BENCH_ARCHS, RESULTS_DIR, emit, record_trajectory
 
 FAMILIES = ("xgb", "lgb", "rf")
-# Below this dataset size, fixed overheads swamp the engines and wall-clock
-# ratios are meaningless; only the equality contract is asserted.
+# Below this dataset size, fixed overheads swamp tree growth and wall-clock
+# comparisons are meaningless; only the quality gate applies.
 SPEEDUP_MIN_ARCHS = 2000
-# Conservative floor for the rf headline (measured ~2x at paper scale) —
-# leaves headroom for noisy shared CI runners.
-RF_SPEEDUP_FLOOR = 1.4
+# Allowed slowdown of an rf fit against the last same-size point: leaves
+# headroom for noisy shared runners.
+RF_TIME_BAND = 1.5
 
 
-def _timed_fit(fitter, dataset, family, features):
-    with obs.timer() as t:
-        report = fitter.fit(dataset, family, features=features)
-    return report, t.seconds
+def _last_point(num_archs: int) -> dict | None:
+    """The most recent trajectory point recorded at ``num_archs``."""
+    path = RESULTS_DIR / "BENCH_fit.json"
+    if not path.exists():
+        return None
+    points = json.loads(path.read_text())["points"]
+    same = [p for p in points if p.get("num_archs") == num_archs]
+    return same[-1] if same else None
 
 
-def test_fit_engines_golden_and_timed(ctx):
+def test_fit_timed_against_trajectory(ctx):
     datasets = [
         ("acc", ctx.accuracy_dataset()),
         ("a100-tput", ctx.device_dataset("a100", "throughput")),
     ]
-    legacy = SurrogateFitter(engine="legacy")
-    fused = SurrogateFitter(engine="partition")
+    fitter = SurrogateFitter()
+    previous = _last_point(BENCH_ARCHS)
 
-    lines = [
-        f"Surrogate fit: legacy vs fused-partition engine "
-        f"({BENCH_ARCHS} archs, Table-1/2 configs)"
-    ]
+    lines = [f"Surrogate fit ({BENCH_ARCHS} archs, Table-1/2 configs)"]
     point = {"num_archs": BENCH_ARCHS}
     for tag, dataset in datasets:
-        X = fused.encoder.encode(dataset.archs)
+        X = fitter.encoder.encode(dataset.archs)
         for family in FAMILIES:
-            rep_legacy, legacy_s = _timed_fit(legacy, dataset, family, X)
-            rep_fused, fused_s = _timed_fit(fused, dataset, family, X)
-            # Bit-identical trees => identical metrics, exactly.
-            assert rep_fused.r2 == rep_legacy.r2
-            assert rep_fused.kendall == rep_legacy.kendall
-            assert rep_fused.mae == rep_legacy.mae
+            with obs.timer() as t_fit:
+                report = fitter.fit(dataset, family, features=X)
+            with obs.timer() as t_pred:
+                pred = report.model.predict(X)
+            assert np.all(np.isfinite(pred))
 
-            with obs.timer() as t:
-                pred = rep_fused.model.predict(X)
-            assert np.array_equal(pred, rep_legacy.model.predict(X))
-
-            speedup = legacy_s / fused_s if fused_s > 0 else float("inf")
             key = f"{tag}_{family}"
-            point[f"{key}_legacy_s"] = legacy_s
-            point[f"{key}_fused_s"] = fused_s
-            point[f"{key}_speedup"] = speedup
-            point[f"{key}_predict_s"] = t.seconds
-            point[f"{key}_r2"] = rep_fused.r2
-            point[f"{key}_kendall"] = rep_fused.kendall
+            point[f"{key}_fused_s"] = t_fit.seconds
+            point[f"{key}_predict_s"] = t_pred.seconds
+            point[f"{key}_r2"] = report.r2
+            point[f"{key}_kendall"] = report.kendall
             lines.append(
-                f"  {tag:>9s} {family:>3s}: legacy={legacy_s:6.2f}s "
-                f"fused={fused_s:6.2f}s speedup={speedup:4.2f}x "
-                f"predict={t.seconds * 1e3:6.1f}ms "
-                f"R2={rep_fused.r2:.3f} tau={rep_fused.kendall:.3f}"
+                f"  {tag:>9s} {family:>3s}: fit={t_fit.seconds:6.2f}s "
+                f"predict={t_pred.seconds * 1e3:6.1f}ms "
+                f"R2={report.r2:.3f} tau={report.kendall:.3f}"
             )
+            if previous is None:
+                continue
+            assert report.r2 == previous[f"{key}_r2"], key
+            assert report.kendall == previous[f"{key}_kendall"], key
             if family == "rf" and BENCH_ARCHS >= SPEEDUP_MIN_ARCHS:
-                assert speedup >= RF_SPEEDUP_FLOOR, (
-                    f"rf {tag} fit speedup {speedup:.2f}x below floor "
-                    f"{RF_SPEEDUP_FLOOR}x"
+                limit = RF_TIME_BAND * previous[f"{key}_fused_s"]
+                assert t_fit.seconds <= limit, (
+                    f"rf {tag} fit {t_fit.seconds:.2f}s exceeds "
+                    f"{RF_TIME_BAND}x the last recorded point ({limit:.2f}s)"
                 )
 
-    legacy_total = sum(v for k, v in point.items() if k.endswith("_legacy_s"))
-    fused_total = sum(v for k, v in point.items() if k.endswith("_fused_s"))
-    point["aggregate_speedup"] = legacy_total / fused_total
-    lines.append(
-        f"  aggregate: legacy={legacy_total:.2f}s fused={fused_total:.2f}s "
-        f"speedup={point['aggregate_speedup']:.2f}x"
-    )
+    total = sum(v for k, v in point.items() if k.endswith("_fused_s"))
+    lines.append(f"  total fit: {total:.2f}s")
+    if previous is None:
+        lines.append("  (no earlier point at this size: gates skipped)")
     emit("bench_fit", "\n".join(lines))
     record_trajectory("fit", point)

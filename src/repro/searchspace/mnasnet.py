@@ -103,17 +103,19 @@ class ArchSpec:
             raise ValueError(f"expected {NUM_STAGES} stages, got {len(blocks)}")
         e, k, n, s = [], [], [], []
         for block in blocks:
+            # Explicit checks, not asserts: input validation must survive
+            # ``python -O``.
+            if not block.startswith("e"):
+                raise ValueError(f"malformed stage spec {block!r}")
             try:
-                rest = block
-                assert rest.startswith("e")
-                e_val, rest = rest[1:].split("k", 1)
+                e_val, rest = block[1:].split("k", 1)
                 k_val, rest = rest.split("L", 1)
                 n_val, s_val = rest.split("se", 1)
                 e.append(int(e_val))
                 k.append(int(k_val))
                 n.append(int(n_val))
                 s.append(int(s_val))
-            except (ValueError, AssertionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"malformed stage spec {block!r}") from exc
         return cls(tuple(e), tuple(k), tuple(n), tuple(s))
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Awaitable, Callable, Sequence
+from typing import Any, Awaitable, Callable, Sequence
 
 from repro.core.reliability import Deadline, DeadlineExceeded
 
-# async (device, metric, archs) -> per-arch results, in order
-BatchRunner = Callable[[str, str, Sequence[str]], Awaitable[Sequence[float]]]
+# async (device, metric, archs) -> per-arch results, in order; archs are
+# opaque items passed through unchanged (the server sends parsed ArchSpecs)
+BatchRunner = Callable[[str, str, Sequence[Any]], Awaitable[Sequence[Any]]]
 
 # (trace contexts of merged items, batch start, duration, "ok"|"error")
 BatchObserver = Callable[[list, float, float, str], None]
@@ -43,7 +44,7 @@ class _Pending:
 
     def __init__(
         self,
-        arch: str,
+        arch: Any,
         future: asyncio.Future,
         deadline: Deadline | None,
         ctx=None,
@@ -127,7 +128,7 @@ class Coalescer:
 
     async def query(
         self,
-        arch: str,
+        arch: Any,
         device: str,
         metric: str,
         deadline: Deadline | None = None,

@@ -539,12 +539,11 @@ class BenchServer:
 
     async def _handle_query(self, request: Request) -> Response:
         payload = request.json()
-        arch, device, metric = self._parse_target(payload, single=True)
+        spec, device, metric = self._parse_target(payload, single=True)
         deadline = self._deadline(payload)
 
         async def work() -> dict:
             bench = self.handle.bench
-            spec = ArchSpec.from_string(arch)
             cache = self.cache
             key = None
             if cache is not None:
@@ -569,7 +568,7 @@ class BenchServer:
                     return payload
             if self.config.coalesce:
                 payload = await self.coalescer.query(
-                    arch,
+                    spec,
                     device or "",
                     metric,
                     deadline,
@@ -589,12 +588,11 @@ class BenchServer:
 
     async def _handle_batch_query(self, request: Request) -> Response:
         payload = request.json()
-        archs, device, metric = self._parse_target(payload, single=False)
+        specs, device, metric = self._parse_target(payload, single=False)
         deadline = self._deadline(payload)
 
         async def work() -> dict:
             bench = self.handle.bench
-            specs = [ArchSpec.from_string(a) for a in archs]
             loop = asyncio.get_running_loop()
             results = await loop.run_in_executor(
                 None, lambda: bench.query_batch(specs, device, metric)
@@ -608,14 +606,14 @@ class BenchServer:
 
     async def _handle_pareto(self, request: Request) -> Response:
         payload = request.json()
-        archs, device, metric = self._parse_target(payload, single=False)
+        specs, device, metric = self._parse_target(payload, single=False)
         if device is None:
             raise ProtocolError(400, "pareto requires a 'device'")
+        archs = payload["archs"]  # echoed verbatim in the front
         deadline = self._deadline(payload)
 
         async def work() -> dict:
             bench = self.handle.bench
-            specs = [ArchSpec.from_string(a) for a in archs]
             loop = asyncio.get_running_loop()
 
             def compute() -> dict:
@@ -750,11 +748,18 @@ class BenchServer:
     # ------------------------------------------------------------- parsing
 
     def _parse_target(self, payload: dict, single: bool):
+        """Validate a query payload and parse its architectures once.
+
+        Returns ``(specs, device, metric)``: one :class:`ArchSpec` when
+        ``single``, else a list aligned with ``payload["archs"]``.  Every
+        failure is a 400 raised before the request takes an admission
+        slot; a bad batch entry is named by its index.
+        """
         if single:
             arch = payload.get("arch")
             if not isinstance(arch, str) or not arch:
                 raise ProtocolError(400, "'arch' must be a non-empty string")
-            archs: str | list[str] = arch
+            archs = [arch]
         else:
             raw = payload.get("archs")
             if (
@@ -780,12 +785,16 @@ class BenchServer:
                     f"no surrogate for ({device!r}, {metric!r}); "
                     f"available: {targets}",
                 )
-        sample = archs if single else archs[0]
-        try:
-            ArchSpec.from_string(sample)
-        except (ValueError, TypeError) as exc:
-            raise ProtocolError(400, f"bad arch spec: {exc}") from exc
-        return archs, device, metric
+        specs = []
+        for i, arch in enumerate(archs):
+            try:
+                specs.append(ArchSpec.from_string(arch))
+            except (ValueError, TypeError) as exc:
+                where = "" if single else f" at index {i}"
+                raise ProtocolError(
+                    400, f"bad arch spec{where}: {exc}"
+                ) from exc
+        return (specs[0] if single else specs), device, metric
 
     def _deadline(self, payload: dict) -> Deadline:
         raw = payload.get("timeout_ms")
@@ -802,10 +811,9 @@ class BenchServer:
     # ------------------------------------------------------------ plumbing
 
     async def _coalesced_runner(
-        self, device: str, metric: str, archs: Sequence[str]
+        self, device: str, metric: str, specs: Sequence[ArchSpec]
     ) -> list[dict]:
         bench = self.handle.bench
-        specs = [ArchSpec.from_string(a) for a in archs]
         loop = asyncio.get_running_loop()
         results = await loop.run_in_executor(
             None, lambda: bench.query_batch(specs, device or None, metric)

@@ -1,5 +1,10 @@
 """Unit and property tests for the MnasNet search space."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +73,37 @@ class TestSerialization:
     def test_string_format(self):
         arch = ArchSpec((1,) * 7, (3,) * 7, (1,) * 7, (0,) * 7)
         assert arch.to_string() == "|".join(["e1k3L1se0"] * 7)
+
+    def test_bad_stage_prefix_rejected_under_optimize(self):
+        """Validation must not rest on asserts, which ``python -O`` strips:
+        ``x6k3L2se0`` must never parse as ``e6k3L2se0``."""
+        bad = "|".join(["x6k3L2se0"] + ["e6k3L2se0"] * 6)
+        with pytest.raises(ValueError, match="x6k3L2se0"):
+            ArchSpec.from_string(bad)
+        code = (
+            "from repro.searchspace.mnasnet import ArchSpec\n"
+            "try:\n"
+            f"    ArchSpec.from_string({bad!r})\n"
+            "except ValueError:\n"
+            "    print('rejected')\n"
+            "else:\n"
+            "    print('accepted')\n"
+        )
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.strip() == "rejected"
 
 
 class TestStableHash:

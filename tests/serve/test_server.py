@@ -228,6 +228,52 @@ class TestInputValidation:
 
         assert run(main()) == "closed"
 
+    def test_bad_batch_entry_named_before_admission(
+        self, serve_bench, arch_strings
+    ):
+        """Every arch is parsed up front: a malformed ``archs[2]`` is a 400
+        naming index 2 that never reaches the breaker or admission gate."""
+        archs = list(arch_strings[:4])
+        archs[2] = "x" + archs[2][1:]
+
+        async def main():
+            server, task = await start_server(serve_bench)
+            calls = {"acquire": 0, "allow": 0}
+            acquire, breaker = server.gate.acquire, server.breakers["batch-query"]
+            allow = breaker.allow
+
+            async def counting_acquire(*args, **kwargs):
+                calls["acquire"] += 1
+                return await acquire(*args, **kwargs)
+
+            def counting_allow():
+                calls["allow"] += 1
+                return allow()
+
+            server.gate.acquire = counting_acquire
+            breaker.allow = counting_allow
+            try:
+                async with ClientConnection("127.0.0.1", server.port) as conn:
+                    bad = await conn.request(
+                        "POST", "/batch-query", {"archs": archs}
+                    )
+                    gate_stats = server.gate.stats()
+                    good = await conn.request(
+                        "POST", "/batch-query", {"archs": arch_strings[:4]}
+                    )
+            finally:
+                await stop_server(server, task)
+            return bad, good, calls, gate_stats, breaker.state
+
+        (status, _, body), good, calls, gate_stats, state = run(main())
+        assert status == 400
+        assert "index 2" in body["error"]
+        assert good[0] == 200
+        # Only the well-formed request was admitted.
+        assert calls == {"acquire": 1, "allow": 1}
+        assert gate_stats["active"] == 0 and gate_stats["shed_total"] == 0
+        assert state == "closed"
+
 
 class TestRobustness:
     def test_deadline_expiry_is_504(self, serve_bench, arch_strings):
