@@ -4,7 +4,8 @@ The released artifact's real serving cost is how fast a *fresh process* can
 answer its first query and how much private memory it pays to do so.  This
 bench builds one benchmark (full device suite), saves it both ways, then
 spawns a cold subprocess per format that loads the artifact, answers one
-accuracy query, and reports elapsed time plus resident memory before/after.
+accuracy query, and reports elapsed time plus resident memory (current and
+peak, from ``/proc/self/status``) before/after.
 The columnar store must be >= 5x faster to first query: the JSON path parses
 every tree of every surrogate up front, the columnar path reads one manifest
 and memmaps just the accuracy model's shards.
@@ -27,22 +28,36 @@ from conftest import BENCH_ARCHS, emit, record_trajectory
 COLD_ARCHS = min(400, BENCH_ARCHS)
 COLD_RUNS = 3
 
+# Memory comes from /proc/self/status (Linux): VmRSS is the resident set now,
+# VmHWM its peak in *this* process.  ``ru_maxrss`` would not do: it carries
+# the spawning process's peak across exec, so a small load reads as 0.
 _COLD_SCRIPT = """
-import json, resource, sys, time
+import json, sys, time
 from repro.core.benchmark import AccelNASBench
 from repro.searchspace.mnasnet import ArchSpec
 
+def memory_kb():
+    fields = {}
+    with open("/proc/self/status") as status:
+        for line in status:
+            key, _, value = line.partition(":")
+            if key in ("VmRSS", "VmHWM"):
+                fields[key] = int(value.split()[0])
+    return fields["VmRSS"], fields["VmHWM"]
+
 path, arch = sys.argv[1], sys.argv[2]
-rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rss_before, hwm_before = memory_kb()
 start = time.perf_counter()
 bench = AccelNASBench.load(path)
 accuracy = bench.query_accuracy(ArchSpec.from_string(arch))
 elapsed = time.perf_counter() - start
-rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+rss_after, hwm_after = memory_kb()
 print(json.dumps({
     "seconds": elapsed,
     "rss_before_kb": rss_before,
     "rss_after_kb": rss_after,
+    "hwm_before_kb": hwm_before,
+    "hwm_after_kb": hwm_after,
     "accuracy": accuracy,
 }))
 """
@@ -96,10 +111,12 @@ def test_columnar_cold_start(tmp_path):
         f"Cold start to first query ({COLD_ARCHS} archs, "
         f"{len(bench.targets)} device targets + accuracy, best of {COLD_RUNS}):",
         f"  json     : {cold_json['seconds'] * 1e3:8.1f} ms, "
-        f"rss {cold_json['rss_before_kb']} -> {cold_json['rss_after_kb']} kB, "
+        f"rss {cold_json['rss_before_kb']} -> {cold_json['rss_after_kb']} kB "
+        f"(peak {cold_json['hwm_after_kb']} kB), "
         f"{json_path.stat().st_size} bytes",
         f"  columnar : {cold_store['seconds'] * 1e3:8.1f} ms, "
-        f"rss {cold_store['rss_before_kb']} -> {cold_store['rss_after_kb']} kB, "
+        f"rss {cold_store['rss_before_kb']} -> {cold_store['rss_after_kb']} kB "
+        f"(peak {cold_store['hwm_after_kb']} kB), "
         f"{store_bytes} bytes",
         f"  speedup  : {speedup:8.1f} x",
         f"  save     : json {t_save_json.seconds:.2f} s, "
@@ -117,6 +134,10 @@ def test_columnar_cold_start(tmp_path):
             - cold_json["rss_before_kb"],
             "rss_delta_columnar_kb": cold_store["rss_after_kb"]
             - cold_store["rss_before_kb"],
+            "hwm_delta_json_kb": cold_json["hwm_after_kb"]
+            - cold_json["hwm_before_kb"],
+            "hwm_delta_columnar_kb": cold_store["hwm_after_kb"]
+            - cold_store["hwm_before_kb"],
             "json_bytes": json_path.stat().st_size,
             "store_bytes": store_bytes,
         },

@@ -8,11 +8,16 @@ single-architecture queries.
 ``test_record_query_trajectory`` additionally appends a dated point to
 ``results/BENCH_query.json`` (via its own ``repro.obs.timer`` timing so it
 also works under ``--benchmark-disable``), tracking query latency across PRs.
+``test_record_encode_miss_trajectory`` appends the encoder's per-arch cost
+for a batch of never-seen architectures (cache misses) and for the same
+batch again (cache hits).
 """
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.searchspace.features as features
 
 from repro.searchspace.mnasnet import MnasNetSearchSpace
 
@@ -99,3 +104,51 @@ def test_record_query_trajectory(built):
     )
     assert warm_mean < 0.05
     assert cold_bi_mean < 0.1
+
+
+# Encode-miss ceiling; the target is <= 20 us/arch (ROADMAP item 1(a)).
+ENCODE_MISS_CEILING_US = 50.0
+
+
+def test_record_encode_miss_trajectory(built, monkeypatch):
+    """A 512-arch never-seen batch encodes from the stage tables, building
+    no model; append its per-arch miss and hit cost to BENCH_query.json."""
+    bench, _ = built
+    encoder = bench.encoder
+    archs = MnasNetSearchSpace().sample_batch(
+        512, rng=np.random.default_rng(512), unique=True
+    )
+    encoder.encode(archs)  # fill the stage tables' configs first
+    builds = {"n": 0}
+    real_build = features.build_model
+
+    def counting_build(*args, **kwargs):
+        builds["n"] += 1
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(features, "build_model", counting_build)
+    miss_s, hit_s = [], []
+    for _ in range(5):
+        encoder.cache_clear()
+        with obs.timer() as t_miss:
+            encoder.encode(archs)
+        with obs.timer() as t_hit:
+            encoder.encode(archs)
+        miss_s.append(t_miss.seconds)
+        hit_s.append(t_hit.seconds)
+    info = encoder.cache_info()
+    miss_us = min(miss_s) / len(archs) * 1e6
+    hit_us = min(hit_s) / len(archs) * 1e6
+    record_trajectory(
+        "query",
+        {
+            "encoding": encoder.encoding,
+            "encode_batch": len(archs),
+            "encode_miss_us_per_arch": miss_us,
+            "encode_hit_us_per_arch": hit_us,
+            "encode_build_model_calls": builds["n"],
+        },
+    )
+    assert info["misses"] == len(archs) and info["hits"] == len(archs)
+    assert builds["n"] == 0
+    assert miss_us <= ENCODE_MISS_CEILING_US

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.metrics import kendall_tau
-from repro.nn.counters import count_graph
 from repro.searchspace.mnasnet import ArchSpec, MnasNetSearchSpace
-from repro.searchspace.model_builder import build_model
+from repro.searchspace.stage_table import arch_configs, get_stage_table
 from repro.trainsim.schemes import (
     REFERENCE_SCHEME,
     TrainingScheme,
@@ -48,7 +47,7 @@ def flops_stratified_grid(
     space = space if space is not None else MnasNetSearchSpace()
     rng = np.random.default_rng(seed)
     pool = space.sample_batch(pool_size, rng=rng, unique=True)
-    flops = np.asarray([count_graph(build_model(a)).flops for a in pool])
+    flops, _ = get_stage_table().totals(arch_configs(pool))
     order = np.argsort(flops)
     bin_edges = np.linspace(0, len(pool), n + 1).astype(int)
     grid = []

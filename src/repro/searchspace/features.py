@@ -17,9 +17,16 @@ Encoding is the per-query hot path of a built benchmark, so
 :meth:`FeatureEncoder.encode` is vectorised over the batch and backed by an
 arch-keyed LRU cache: only rows for architectures never seen before are
 computed, and repeat queries (optimizer populations, repeated single-arch
-queries) are served straight from the cache.  Cached rows are immutable
-(``writeable=False``) and bit-identical to what :meth:`encode_one`, the
-scalar reference implementation, produces.
+queries) are served straight from the cache.  A miss builds no graph: the
+global statistics come from the exact integer FLOP/param tables of
+:class:`~repro.searchspace.stage_table.StageTable`.  Cached rows are
+immutable (``writeable=False``) and bit-identical to what
+:meth:`encode_one`, the scalar reference implementation that builds the
+model, produces.
+
+Every encoding accepts only architectures inside the search space; any
+other raises :class:`ValueError` naming the architecture, stage and decision
+(an off-space one-hot row would silently be all zeros).
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,35 +41,16 @@ import numpy as np
 from repro.nn.counters import count_graph
 from repro.searchspace.mnasnet import (
     ArchSpec,
-    EXPANSION_CHOICES,
-    KERNEL_CHOICES,
-    LAYER_CHOICES,
+    DECISIONS,
     NUM_STAGES,
-    SE_CHOICES,
+    decision_indices,
 )
 from repro.searchspace.model_builder import build_model
+from repro.searchspace.stage_table import config_indices, get_stage_table
 
 ENCODINGS = ("onehot", "integer", "onehot+global")
 
 DEFAULT_CACHE_SIZE = 16384
-
-_DECISION_CHOICES: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("expansion", EXPANSION_CHOICES),
-    ("kernel", KERNEL_CHOICES),
-    ("layers", LAYER_CHOICES),
-    ("se", SE_CHOICES),
-)
-
-
-@lru_cache(maxsize=65536)
-def _global_stats(arch: ArchSpec) -> tuple[float, float, float, float]:
-    counters = count_graph(build_model(arch))
-    return (
-        math.log10(counters.flops),
-        math.log10(counters.params),
-        float(arch.total_layers),
-        float(sum(arch.se)),
-    )
 
 
 class FeatureEncoder:
@@ -93,11 +80,11 @@ class FeatureEncoder:
     @property
     def num_features(self) -> int:
         """Width of the encoded feature vector."""
-        onehot = NUM_STAGES * sum(len(c) for _, c in _DECISION_CHOICES)
+        onehot = NUM_STAGES * sum(len(c) for _, c in DECISIONS)
         if self.encoding == "onehot":
             return onehot
         if self.encoding == "integer":
-            return NUM_STAGES * len(_DECISION_CHOICES)
+            return NUM_STAGES * len(DECISIONS)
         return onehot + 4
 
     def feature_names(self) -> list[str]:
@@ -105,11 +92,11 @@ class FeatureEncoder:
         names: list[str] = []
         if self.encoding == "integer":
             for stage in range(NUM_STAGES):
-                for field_name, _ in _DECISION_CHOICES:
+                for field_name, _ in DECISIONS:
                     names.append(f"s{stage}.{field_name}")
             return names
         for stage in range(NUM_STAGES):
-            for field_name, choices in _DECISION_CHOICES:
+            for field_name, choices in DECISIONS:
                 for choice in choices:
                     names.append(f"s{stage}.{field_name}={choice}")
         if self.encoding == "onehot+global":
@@ -142,44 +129,59 @@ class FeatureEncoder:
 
         This is the scalar reference implementation; :meth:`encode` is the
         vectorised, cached batch path and is asserted bit-identical to it.
+        Its global statistics count a freshly built model.
         """
+        decision_indices([arch])  # the same space-membership rule as encode
         if self.encoding == "integer":
             row = []
             for stage in range(NUM_STAGES):
-                for field_name, _ in _DECISION_CHOICES:
+                for field_name, _ in DECISIONS:
                     row.append(float(getattr(arch, field_name)[stage]))
             return np.asarray(row, dtype=np.float64)
 
         row = []
         for stage in range(NUM_STAGES):
-            for field_name, choices in _DECISION_CHOICES:
+            for field_name, choices in DECISIONS:
                 value = getattr(arch, field_name)[stage]
                 row.extend(1.0 if value == choice else 0.0 for choice in choices)
         if self.encoding == "onehot+global":
-            row.extend(_global_stats(arch))
+            counters = count_graph(build_model(arch))
+            row.extend(
+                (
+                    math.log10(counters.flops),
+                    math.log10(counters.params),
+                    float(arch.total_layers),
+                    float(sum(arch.se)),
+                )
+            )
         return np.asarray(row, dtype=np.float64)
 
     def _encode_rows(self, archs: Sequence[ArchSpec]) -> np.ndarray:
         """Vectorised batch encode (no cache); returns an (n, d) matrix."""
         n = len(archs)
-        # Decisions as an (n, num_fields, NUM_STAGES) integer tensor.
-        dec = np.asarray(
-            [[getattr(a, name) for name, _ in _DECISION_CHOICES] for a in archs],
-            dtype=np.int64,
-        )
+        # Decisions and their choice indices as (n, num_fields, NUM_STAGES)
+        # integer tensors; raises on any off-space decision.
+        dec, idx = decision_indices(archs)
         if self.encoding == "integer":
             # Column order is stage-major: (s0.e, s0.k, s0.L, s0.se, s1.e, ...).
             return np.ascontiguousarray(
                 dec.transpose(0, 2, 1).reshape(n, -1).astype(np.float64)
             )
-        blocks = []
-        for f, (_, choices) in enumerate(_DECISION_CHOICES):
-            c = np.asarray(choices, dtype=np.int64)
-            blocks.append(dec[:, f, :, None] == c[None, None, :])
+        blocks = [
+            idx[:, f, :, None] == np.arange(len(choices))
+            for f, (_, choices) in enumerate(DECISIONS)
+        ]
         onehot = np.concatenate(blocks, axis=2).astype(np.float64).reshape(n, -1)
         if self.encoding != "onehot+global":
             return np.ascontiguousarray(onehot)
-        stats = np.asarray([_global_stats(a) for a in archs], dtype=np.float64)
+        flops, params = get_stage_table().totals(config_indices(idx))
+        # math.log10 on the exact ints, per element: NumPy's SIMD log10 is
+        # not guaranteed to match libm to the last ulp.
+        stats = np.empty((n, 4), dtype=np.float64)
+        stats[:, 0] = [math.log10(f) for f in flops.tolist()]
+        stats[:, 1] = [math.log10(p) for p in params.tolist()]
+        stats[:, 2] = dec[:, 2].sum(axis=1)
+        stats[:, 3] = dec[:, 3].sum(axis=1)
         return np.ascontiguousarray(np.concatenate([onehot, stats], axis=1))
 
     def encode(self, archs: Sequence[ArchSpec]) -> np.ndarray:
@@ -195,6 +197,7 @@ class FeatureEncoder:
             return self._encode_rows(archs)
 
         rows: dict[ArchSpec, np.ndarray] = {}
+        hits: list[ArchSpec] = []
         missing: list[ArchSpec] = []
         with self._lock:
             for arch in archs:
@@ -202,18 +205,24 @@ class FeatureEncoder:
                     continue
                 cached = self._cache.get(arch)
                 if cached is not None:
-                    self._cache.move_to_end(arch)
-                    self._hits += 1
+                    hits.append(arch)
                     rows[arch] = cached
                 else:
-                    self._misses += 1
                     missing.append(arch)
                     rows[arch] = np.empty(0)  # placeholder, filled below
 
-        if missing:
-            fresh = self._encode_rows(missing)
-            fresh.flags.writeable = False
-            with self._lock:
+        # Encode before touching the cache: a batch rejected for an
+        # off-space arch leaves the rows, their order and the counters as
+        # they were.
+        fresh = self._encode_rows(missing) if missing else None
+        with self._lock:
+            self._hits += len(hits)
+            self._misses += len(missing)
+            for arch in hits:
+                if arch in self._cache:  # may have been evicted meanwhile
+                    self._cache.move_to_end(arch)
+            if fresh is not None:
+                fresh.flags.writeable = False
                 for arch, row in zip(missing, fresh):
                     rows[arch] = row
                     self._cache[arch] = row

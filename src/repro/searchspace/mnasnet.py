@@ -22,6 +22,14 @@ KERNEL_CHOICES: tuple[int, ...] = (3, 5)
 LAYER_CHOICES: tuple[int, ...] = (1, 2, 3)
 SE_CHOICES: tuple[int, ...] = (0, 1)
 
+# The four searchable decisions of a stage, in encoding order.
+DECISIONS: tuple[tuple[str, tuple[int, ...]], ...] = (
+    ("expansion", EXPANSION_CHOICES),
+    ("kernel", KERNEL_CHOICES),
+    ("layers", LAYER_CHOICES),
+    ("se", SE_CHOICES),
+)
+
 
 @dataclass(frozen=True)
 class StageSetting:
@@ -168,6 +176,48 @@ class ArchSpec:
         }
 
 
+def decision_indices(archs: Sequence[ArchSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Every decision of ``archs`` as ``(values, indices)`` tensors.
+
+    Both are ``(n, len(DECISIONS), NUM_STAGES)`` int64: ``values[i, f, s]`` is
+    decision ``f`` (in :data:`DECISIONS` order) of stage ``s`` of
+    ``archs[i]``, and ``indices`` is its position in that decision's choices.
+
+    Raises:
+        ValueError: naming the first architecture, stage and decision whose
+            value is not a choice of the space (e.g. ``e99`` or the 4-layer
+            stage of EfficientNet-B0, which can be built but not queried).
+    """
+    n = len(archs)
+    # One flat 28-tuple per arch, concatenated in DECISIONS order.
+    rows = [a.expansion + a.kernel + a.layers + a.se for a in archs]
+    try:
+        values = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        # A decision beyond int64 is no choice of the space either.
+        bad = next(a for a in archs if not MnasNetSearchSpace.contains(a))
+        raise ValueError(
+            f"architecture {bad.to_string()!r} is outside the search space"
+        ) from None
+    values = values.reshape(n, len(DECISIONS), NUM_STAGES)
+    indices = np.empty_like(values)
+    off_space = np.zeros(values.shape, dtype=bool)
+    for f, (_, choices) in enumerate(DECISIONS):
+        c = np.asarray(choices, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(c, values[:, f]), len(c) - 1)
+        indices[:, f] = pos
+        off_space[:, f] = c[pos] != values[:, f]
+    if off_space.any():
+        i, f, s = (int(v) for v in np.argwhere(off_space)[0])
+        name, choices = DECISIONS[f]
+        raise ValueError(
+            f"architecture {archs[i].to_string()!r} is outside the search "
+            f"space: stage {s} {name}={int(values[i, f, s])} is not one of "
+            f"{choices}"
+        )
+    return values, indices
+
+
 class MnasNetSearchSpace:
     """Sampling, mutation and enumeration over the MnasNet space.
 
@@ -175,12 +225,7 @@ class MnasNetSearchSpace:
     passed per call or derived from the constructor seed.
     """
 
-    DECISIONS: tuple[tuple[str, tuple[int, ...]], ...] = (
-        ("expansion", EXPANSION_CHOICES),
-        ("kernel", KERNEL_CHOICES),
-        ("layers", LAYER_CHOICES),
-        ("se", SE_CHOICES),
-    )
+    DECISIONS = DECISIONS
 
     def __init__(self, seed: int | None = None) -> None:
         self._rng = np.random.default_rng(seed)
@@ -262,7 +307,8 @@ class MnasNetSearchSpace:
             EXPANSION_CHOICES, KERNEL_CHOICES, LAYER_CHOICES, SE_CHOICES
         )
 
-    def contains(self, arch: ArchSpec) -> bool:
+    @staticmethod
+    def contains(arch: ArchSpec) -> bool:
         """Check whether ``arch`` lies inside the searchable space.
 
         Baseline models (e.g. EfficientNet-B0 with a 4-layer stage) can be
@@ -270,7 +316,7 @@ class MnasNetSearchSpace:
         """
         return all(
             all(v in choices for v in getattr(arch, field_name))
-            for field_name, choices in self.DECISIONS
+            for field_name, choices in DECISIONS
         )
 
     # Generic decision-site interface (shared with other search spaces; the

@@ -19,7 +19,8 @@ endpoint        method  behaviour
 /debug/profile  GET     sampling profiler; collapsed-stack flamegraph text
 ==============  ======  ==================================================
 
-Request lifecycle for the query endpoints: parse (400 on bad input) →
+Request lifecycle for the query endpoints: parse (400 on bad input,
+including architectures outside the search space) →
 deadline from ``timeout_ms`` → circuit breaker admit (503 + Retry-After
 when open) → bounded admission (429 + Retry-After when shedding, 504 when
 the budget expires queued) → drills → surrogate work off-loop in an
@@ -60,7 +61,7 @@ from repro.core.reliability import (
     DeadlineExceeded,
     RetryPolicy,
 )
-from repro.searchspace import ArchSpec
+from repro.searchspace import ArchSpec, MnasNetSearchSpace
 from repro.serve.admission import AdmissionGate, Overloaded
 from repro.serve.coalescer import Coalescer
 from repro.serve.faults import DrillPlan
@@ -787,13 +788,22 @@ class BenchServer:
                 )
         specs = []
         for i, arch in enumerate(archs):
+            where = "" if single else f" at index {i}"
             try:
-                specs.append(ArchSpec.from_string(arch))
+                spec = ArchSpec.from_string(arch)
             except (ValueError, TypeError) as exc:
-                where = "" if single else f" at index {i}"
                 raise ProtocolError(
                     400, f"bad arch spec{where}: {exc}"
                 ) from exc
+            if not MnasNetSearchSpace.contains(spec):
+                # Well-formed but off-space: the surrogates cannot answer
+                # it, and in a coalesced batch it would fail its neighbours.
+                if obs.telemetry_active():
+                    obs.metrics().inc("serve.rejected.off_space")
+                raise ProtocolError(
+                    400, f"arch{where} outside the search space: {arch}"
+                )
+            specs.append(spec)
         return (specs[0] if single else specs), device, metric
 
     def _deadline(self, payload: dict) -> Deadline:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.searchspace.mnasnet import ArchSpec, NUM_STAGES
+from repro.searchspace.mnasnet import ArchSpec, MnasNetSearchSpace, NUM_STAGES
 from repro.searchspace.stage_table import get_stage_table
 from repro.trainsim import accuracy_model as _am
 from repro.trainsim import learning_curve as _lc
@@ -46,10 +46,14 @@ from repro.trainsim.schemes import EVAL_RESOLUTION, TrainingScheme
 def supports_batch(archs: Sequence[object]) -> bool:
     """Whether the batch kernels cover every member of ``archs``.
 
-    The kernels understand exactly the MnasNet :class:`ArchSpec`; foreign
-    spec types (e.g. the Proxyless space) fall back to the scalar path.
+    The kernels understand exactly the in-space MnasNet :class:`ArchSpec`
+    (their FLOP counts come from the stage table's 36 configs); foreign spec
+    types (e.g. the Proxyless space) and buildable off-space baselines (e.g.
+    EfficientNet-B0's 4-layer stage) fall back to the scalar path.
     """
-    return all(type(arch) is ArchSpec for arch in archs)
+    return all(
+        type(arch) is ArchSpec and MnasNetSearchSpace.contains(arch) for arch in archs
+    )
 
 
 @dataclass(frozen=True)

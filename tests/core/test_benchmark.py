@@ -102,6 +102,23 @@ class TestQuery:
         b.query(some_archs[1])
         assert calls["n"] == 2
 
+    def test_off_space_arch_rejected(self, bench, some_archs):
+        """``e99k9L9se0`` parses but is not in the space: no made-up answer,
+        and the encoder cache is left as it was."""
+        from repro.searchspace.mnasnet import ArchSpec
+
+        b, _ = bench
+        bad = ArchSpec.from_string("|".join(["e99k9L9se0"] + ["e1k3L1se0"] * 6))
+        b.query_batch(some_archs[:2], device="a100")
+        info = b.encoder.cache_info()
+        with pytest.raises(ValueError, match="stage 0 expansion=99"):
+            b.query(bad, device="a100")
+        with pytest.raises(ValueError, match="stage 0 expansion=99"):
+            b.query_batch([some_archs[0], some_archs[40], bad], device="a100")
+        with pytest.raises(ValueError, match="outside the search space"):
+            b.query_accuracy(bad)
+        assert b.encoder.cache_info() == info
+
     def test_query_correlates_with_simulated_truth(self, bench, some_archs, trainer):
         from repro.core.metrics import kendall_tau
 

@@ -33,6 +33,26 @@ class TestStratifiedGrid:
         with pytest.raises(ValueError):
             flops_stratified_grid(n=1)
 
+    def test_grid_matches_built_model_flops(self):
+        """The table-summed FLOPs order the pool exactly as building every
+        model and counting it did, so the grid is unchanged."""
+        from repro.searchspace.mnasnet import MnasNetSearchSpace
+
+        n, seed, pool_size = 8, 4, 120
+        rng = np.random.default_rng(seed)
+        pool = MnasNetSearchSpace().sample_batch(pool_size, rng=rng, unique=True)
+        flops = np.asarray([count_graph(build_model(a)).flops for a in pool])
+        assert flops.dtype == np.int64
+        order = np.argsort(flops)
+        edges = np.linspace(0, len(pool), n + 1).astype(int)
+        expected = [
+            pool[order[int(rng.integers(lo, max(hi, lo + 1)))]]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert flops_stratified_grid(n=n, seed=seed, pool_size=pool_size) == (
+            expected
+        )
+
     def test_deterministic(self):
         assert flops_stratified_grid(n=8, seed=3, pool_size=100) == (
             flops_stratified_grid(n=8, seed=3, pool_size=100)

@@ -160,3 +160,42 @@ class TestEncoderCache:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             assert all(pool.map(worker, [0, 10, 20, 30]))
+
+
+OFF_SPACE = "e1k3L1se0|e1k3L1se0|e99k9L9se0|e1k3L1se0|e1k3L1se0|e1k3L1se0|e1k3L1se0"
+
+
+class TestOffSpaceRejected:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_batch_and_scalar_name_arch_stage_and_field(self, encoding, some_archs):
+        from repro.searchspace.mnasnet import ArchSpec
+
+        enc = FeatureEncoder(encoding)
+        bad = ArchSpec.from_string(OFF_SPACE)
+        pattern = rf"'{OFF_SPACE}'.*stage 2 expansion=99"
+        with pytest.raises(ValueError, match=pattern):
+            enc.encode([some_archs[0], bad])
+        with pytest.raises(ValueError, match=pattern):
+            enc.encode_one(bad)
+        with pytest.raises(ValueError, match=pattern):
+            FeatureEncoder(encoding, cache_size=0).encode([bad])
+
+    def test_decision_beyond_int64_is_off_space(self, some_archs):
+        from repro.searchspace.mnasnet import ArchSpec
+
+        huge = ArchSpec.from_string(OFF_SPACE.replace("e99", f"e{2**70 + 1}"))
+        with pytest.raises(ValueError, match="outside the search space"):
+            FeatureEncoder("onehot+global").encode([some_archs[0], huge])
+
+    def test_rejected_batch_leaves_cache_untouched(self, some_archs):
+        from repro.searchspace.mnasnet import ArchSpec
+
+        enc = FeatureEncoder("onehot+global", cache_size=4)
+        enc.encode(some_archs[:4])
+        enc.encode(some_archs[:1])
+        info, order = enc.cache_info(), list(enc._cache)
+        bad = ArchSpec.from_string(OFF_SPACE)
+        with pytest.raises(ValueError):
+            enc.encode([some_archs[1], some_archs[10], bad])
+        assert enc.cache_info() == info
+        assert list(enc._cache) == order

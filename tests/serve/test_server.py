@@ -275,6 +275,53 @@ class TestInputValidation:
         assert state == "closed"
 
 
+    def test_off_space_arch_rejected_before_admission(
+        self, serve_bench, arch_strings
+    ):
+        """A well-formed but off-space arch is a 400 naming its index; it is
+        counted, and it never takes an admission slot."""
+        off_space = "|".join(["e99k9L9se0"] + ["e1k3L1se0"] * 6)
+        archs = list(arch_strings[:4])
+        archs[2] = off_space
+
+        async def main():
+            server, task = await start_server(serve_bench)
+            calls = {"acquire": 0}
+            acquire = server.gate.acquire
+
+            async def counting_acquire(*args, **kwargs):
+                calls["acquire"] += 1
+                return await acquire(*args, **kwargs)
+
+            server.gate.acquire = counting_acquire
+            try:
+                async with ClientConnection("127.0.0.1", server.port) as conn:
+                    single = await conn.request(
+                        "POST", "/query", {"arch": off_space, "device": "a100"}
+                    )
+                    batch = await conn.request(
+                        "POST", "/batch-query", {"archs": archs}
+                    )
+            finally:
+                await stop_server(server, task)
+            return single, batch, calls
+
+        obs.reset()
+        obs.configure(level="debug", json=True, stream=io.StringIO())
+        try:
+            (s_status, _, s_body), (b_status, _, b_body), calls = run(main())
+            rejected = obs.metrics().counter("serve.rejected.off_space")
+        finally:
+            obs.reset()
+        assert s_status == 400
+        assert "outside the search space" in s_body["error"]
+        assert b_status == 400
+        assert "index 2" in b_body["error"]
+        assert off_space in b_body["error"]
+        assert calls == {"acquire": 0}
+        assert rejected == 2
+
+
 class TestRobustness:
     def test_deadline_expiry_is_504(self, serve_bench, arch_strings):
         drills = DrillPlan.from_string("slow:1.0@1", slow_seconds=0.2)

@@ -9,6 +9,7 @@ from repro.core.reliability import (
     InjectedCrash,
     MeasurementTimeout,
 )
+from repro.searchspace.baselines import EFFICIENTNET_B0
 from repro.searchspace.mnasnet import MnasNetSearchSpace
 from repro.trainsim import (
     BatchTrainResult,
@@ -86,13 +87,15 @@ class TestForeignSpecFallback:
         foreign = ProxylessSearchSpace().sample(np.random.default_rng(0))
         assert supports_batch(archs)
         assert not supports_batch([archs[0], foreign])
+        # An off-space MnasNet baseline is buildable but has no table cells.
+        assert not supports_batch([archs[0], EFFICIENTNET_B0.arch])
 
     def test_fallback_matches_scalar_loop(self, archs):
         from repro.searchspace.proxyless import ProxylessSearchSpace
 
         foreign = ProxylessSearchSpace().sample_batch(
             6, rng=np.random.default_rng(5)
-        )
+        ) + [EFFICIENTNET_B0.arch]
         trainer = SimulatedTrainer()
         batched = trainer.train_batch(foreign, P_STAR, seeds=0)
         scalar = [trainer.train(a, P_STAR, seed=0) for a in foreign]
