@@ -176,6 +176,13 @@ class ArchSpec:
         }
 
 
+def _int64_or_minus_one(value: object) -> int:
+    """``value`` as an int if it is an int64-range integer, else ``-1``."""
+    if isinstance(value, (int, np.integer)) and -(2**63) <= value < 2**63:
+        return int(value)
+    return -1
+
+
 def decision_indices(archs: Sequence[ArchSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Every decision of ``archs`` as ``(values, indices)`` tensors.
 
@@ -184,21 +191,24 @@ def decision_indices(archs: Sequence[ArchSpec]) -> tuple[np.ndarray, np.ndarray]
     ``archs[i]``, and ``indices`` is its position in that decision's choices.
 
     Raises:
-        ValueError: naming the first architecture, stage and decision whose
-            value is not a choice of the space (e.g. ``e99`` or the 4-layer
-            stage of EfficientNet-B0, which can be built but not queried).
+        ValueError: naming the first architecture, its index in ``archs``,
+            and the stage and decision whose value is not a choice of the
+            space (e.g. ``e99`` or the 4-layer stage of EfficientNet-B0,
+            which can be built but not queried).
     """
     n = len(archs)
     # One flat 28-tuple per arch, concatenated in DECISIONS order.
     rows = [a.expansion + a.kernel + a.layers + a.se for a in archs]
-    try:
-        values = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        # A decision beyond int64 is no choice of the space either.
-        bad = next(a for a in archs if not MnasNetSearchSpace.contains(a))
-        raise ValueError(
-            f"architecture {bad.to_string()!r} is outside the search space"
-        ) from None
+    values = np.array(rows)
+    if values.dtype.kind not in "iub":
+        # A float, or an int beyond int64, is no choice of the space either:
+        # map it to -1, which no decision offers (the error names the raw
+        # value from ``rows``).
+        values = np.array(
+            [[_int64_or_minus_one(v) for v in row] for row in rows],
+            dtype=np.int64,
+        )
+    values = values.astype(np.int64, copy=False)
     values = values.reshape(n, len(DECISIONS), NUM_STAGES)
     indices = np.empty_like(values)
     off_space = np.zeros(values.shape, dtype=bool)
@@ -211,9 +221,9 @@ def decision_indices(archs: Sequence[ArchSpec]) -> tuple[np.ndarray, np.ndarray]
         i, f, s = (int(v) for v in np.argwhere(off_space)[0])
         name, choices = DECISIONS[f]
         raise ValueError(
-            f"architecture {archs[i].to_string()!r} is outside the search "
-            f"space: stage {s} {name}={int(values[i, f, s])} is not one of "
-            f"{choices}"
+            f"architecture {archs[i].to_string()!r} at index {i} is outside "
+            f"the search space: stage {s} {name}={rows[i][f * NUM_STAGES + s]} is not "
+            f"one of {choices}"
         )
     return values, indices
 
@@ -313,11 +323,14 @@ class MnasNetSearchSpace:
 
         Baseline models (e.g. EfficientNet-B0 with a 4-layer stage) can be
         *built* and *measured* but are not necessarily members of the space.
+        Membership is :func:`decision_indices`' rule, so whatever this
+        accepts the encoder and stage table can index.
         """
-        return all(
-            all(v in choices for v in getattr(arch, field_name))
-            for field_name, choices in DECISIONS
-        )
+        try:
+            decision_indices([arch])
+        except ValueError:
+            return False
+        return True
 
     # Generic decision-site interface (shared with other search spaces; the
     # factorised REINFORCE policy is written against it).

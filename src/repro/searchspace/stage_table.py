@@ -234,7 +234,12 @@ class StageTable:
         return flops, params
 
     def flops_for(self, archs: Sequence[ArchSpec]) -> np.ndarray:
-        """Exact per-arch FLOP counts of in-space ``archs`` as float64."""
+        """Exact per-arch FLOP counts of in-space ``archs`` as float64.
+
+        Raises:
+            ValueError: if any arch is outside the search space (see
+                :func:`~repro.searchspace.mnasnet.decision_indices`).
+        """
         return self.totals(arch_configs(archs))[0].astype(np.float64)
 
 

@@ -61,7 +61,7 @@ from repro.core.reliability import (
     DeadlineExceeded,
     RetryPolicy,
 )
-from repro.searchspace import ArchSpec, MnasNetSearchSpace
+from repro.searchspace.mnasnet import ArchSpec, decision_indices
 from repro.serve.admission import AdmissionGate, Overloaded
 from repro.serve.coalescer import Coalescer
 from repro.serve.faults import DrillPlan
@@ -795,15 +795,15 @@ class BenchServer:
                 raise ProtocolError(
                     400, f"bad arch spec{where}: {exc}"
                 ) from exc
-            if not MnasNetSearchSpace.contains(spec):
-                # Well-formed but off-space: the surrogates cannot answer
-                # it, and in a coalesced batch it would fail its neighbours.
-                if obs.telemetry_active():
-                    obs.metrics().inc("serve.rejected.off_space")
-                raise ProtocolError(
-                    400, f"arch{where} outside the search space: {arch}"
-                )
             specs.append(spec)
+        try:
+            decision_indices(specs)
+        except ValueError as exc:
+            # Well-formed but off-space: the surrogates cannot answer it,
+            # and in a coalesced batch it would fail its neighbours.
+            if obs.telemetry_active():
+                obs.metrics().inc("serve.rejected.off_space")
+            raise ProtocolError(400, str(exc)) from exc
         return (specs[0] if single else specs), device, metric
 
     def _deadline(self, payload: dict) -> Deadline:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.searchspace.mnasnet import ArchSpec, MnasNetSearchSpace, NUM_STAGES
+from repro.searchspace.mnasnet import ArchSpec, NUM_STAGES, decision_indices
 from repro.searchspace.stage_table import get_stage_table
 from repro.trainsim import accuracy_model as _am
 from repro.trainsim import learning_curve as _lc
@@ -51,9 +51,13 @@ def supports_batch(archs: Sequence[object]) -> bool:
     types (e.g. the Proxyless space) and buildable off-space baselines (e.g.
     EfficientNet-B0's 4-layer stage) fall back to the scalar path.
     """
-    return all(
-        type(arch) is ArchSpec and MnasNetSearchSpace.contains(arch) for arch in archs
-    )
+    if any(type(arch) is not ArchSpec for arch in archs):
+        return False
+    try:
+        decision_indices(archs)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,14 @@ class PopulationEncoding:
 
 
 def encode_population(archs: Sequence[ArchSpec]) -> PopulationEncoding:
-    """Encode ``archs`` once into the integer arrays the kernels consume."""
+    """Encode ``archs`` once into the integer arrays the kernels consume.
+
+    Raises:
+        ValueError: if any arch is outside the search space (e.g. the
+            EfficientNet-B0 baseline); the stage table has no cells for it.
+            :meth:`SimulatedTrainer.train_batch` is the entry point that
+            checks :func:`supports_batch` and falls back to the scalar loop.
+    """
     archs = tuple(archs)
     return PopulationEncoding(
         archs=archs,
@@ -243,6 +254,10 @@ def clean_top1_batch(
         dataset: Trainer dataset binding (``None`` = ImageNet2012).
         noise_scale: The trainer's dataset noise scale.
         pop: Optional pre-built encoding (avoids re-encoding).
+
+    Raises:
+        ValueError: if any arch is outside the search space (see
+            :func:`encode_population`).
     """
     pop = pop if pop is not None else encode_population(archs)
     expected = expected_top1_batch(pop.archs, scheme, dataset=dataset, pop=pop)
@@ -274,6 +289,7 @@ def train_hours_batch(
 
     The per-epoch loop is preserved (elementwise operation order per epoch
     matches the scalar accumulation), only the architecture axis vectorises.
+    Off-space archs raise ``ValueError`` (see :func:`encode_population`).
     """
     pop = pop if pop is not None else encode_population(archs)
     flops_224 = 3.0 * pop.flops  # forward+backward at eval resolution

@@ -5,6 +5,9 @@ The examples double as user-facing documentation; these tests import their
 size where running the script verbatim would be slow.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,16 @@ from repro.core.metrics import kendall_tau
 from repro.hwsim import MeasurementHarness, get_device
 from repro.nn import count_graph
 from repro.searchspace import MnasNetSearchSpace, build_model
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _load_example(name: str):
+    """Import ``examples/<name>.py`` as a module (without running ``main``)."""
+    spec = importlib.util.spec_from_file_location(name, EXAMPLES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDeviceRankingScenario:
@@ -45,6 +58,13 @@ class TestQuickstartScenario:
         result = bench.query(arch, device="vck190", metric="throughput")
         assert 0.5 < result.accuracy < 0.9
         assert result.performance > 0
+        # The example's own baseline report: EdgeTPU-S is answered on every
+        # target, EfficientNet-B0 (a 4-layer stage) is refused by name.
+        lines = _load_example("quickstart").describe_baselines(bench)
+        assert len(lines) == 2 + len(bench.targets) + 1
+        assert "img/s" in lines[2]
+        assert "EfficientNet-B0 is not answered" in lines[-1]
+        assert "stage 5 layers=4" in lines[-1]
 
 
 class TestGeneralizabilityScenario:

@@ -1,5 +1,6 @@
 """Unit and property tests for the MnasNet search space."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from repro.searchspace.mnasnet import (
     MnasNetSearchSpace,
     NUM_STAGES,
     SE_CHOICES,
+    decision_indices,
 )
 
 arch_specs = st.builds(
@@ -174,6 +176,19 @@ class TestSearchSpace:
     def test_contains_rejects_out_of_space(self, space):
         b0_like = ArchSpec((1,) * 7, (3,) * 7, (1, 2, 2, 3, 3, 4, 1), (1,) * 7)
         assert not space.contains(b0_like)
+
+    @pytest.mark.parametrize("bad", [99, 2**70 + 1, 4.5])
+    def test_contains_follows_decision_indices(self, space, bad):
+        """One membership rule: what ``contains`` rejects, the encoder's
+        index lookup rejects with the batch index, stage and decision."""
+        base = space.sample(np.random.default_rng(3))
+        arch = dataclasses.replace(base, expansion=(bad,) + base.expansion[1:])
+        assert space.contains(base)
+        assert not space.contains(arch)
+        with pytest.raises(
+            ValueError, match=rf"at index 1 .* stage 0 expansion={bad} "
+        ):
+            decision_indices([base, arch])
 
     def test_enumerate_stage_configs(self, space):
         configs = list(space.enumerate_stage_configs())

@@ -318,6 +318,8 @@ class TestInputValidation:
         assert b_status == 400
         assert "index 2" in b_body["error"]
         assert off_space in b_body["error"]
+        # The 400 names the offending stage and decision, not just the arch.
+        assert "stage 0 expansion=99" in b_body["error"]
         assert calls == {"acquire": 0}
         assert rejected == 2
 
